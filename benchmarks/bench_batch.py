@@ -18,8 +18,8 @@ the CI perf-smoke job regenerates and gates) with:
     the compiled engine (the numpy fallback saves only Python
     dispatch, not the FFI crossing, and is gated at >= 1x).
 ``engine``
-    ``"c"`` when the compiled cffi kernel scored the block, else
-    ``"numpy"``.
+    ``"c"`` when the compiled kernel (loaded through ctypes) scored the
+    block, else ``"numpy"``.
 ``island_makespans`` / ``island_identical``
     Same-seed EMTS5 island-mode makespans for ``islands`` in
     {1, 2, 4} — the shard count is a pure execution knob, so the gate

@@ -187,7 +187,7 @@ def check_determinism(planned, table, tmp_dir: Path) -> bool:
 def run(
     runs: int, size: int, out_path: Path, results_txt: Path | None
 ) -> dict:
-    engine = "numpy" if _cscheduler.load()[0] is None else "c"
+    engine = "numpy" if _cscheduler.load() is None else "c"
     print(f"engine: {engine}")
 
     identical, zero_cases = check_zero_fault_identity()

@@ -86,7 +86,7 @@ def percentile(samples: list[float], q: float) -> float:
 def run(out_path: Path, *, cycles: int, results_txt: Path | None) -> dict:
     import tempfile
 
-    engine = "numpy" if _cscheduler.load()[0] is None else "c"
+    engine = "numpy" if _cscheduler.load() is None else "c"
     print(f"engine: {engine}, cycles: {cycles}")
 
     restart_ms: list[float] = []

@@ -135,7 +135,7 @@ def run(
     workers: int,
     results_txt: Path | None = None,
 ) -> dict:
-    engine = "numpy" if _cscheduler.load()[0] is None else "c"
+    engine = "numpy" if _cscheduler.load() is None else "c"
     print(f"engine: {engine}")
     service, thread = start_service(workers)
     port = service.bound_port

@@ -62,7 +62,7 @@ import os
 import time
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -80,6 +80,8 @@ from ..obs.metrics import MetricsRegistry
 from ..util.backoff import exponential_delay
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
+    from concurrent.futures import ProcessPoolExecutor
+
     from ..graph import PTG
     from ..timemodels import TimeTable
 
@@ -617,7 +619,9 @@ class ProcessPoolEvaluator(FitnessEvaluator):
     # -- pool lifecycle ------------------------------------------------
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
+            # the process machinery loads only when a pool is built
             import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
             ctx = (
                 multiprocessing.get_context(self.mp_context)

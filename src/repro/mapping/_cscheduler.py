@@ -4,9 +4,10 @@ The Python/numpy fast path in :mod:`repro.mapping.kernel` spends most
 of its time in per-task numpy call overhead (the arrays hold only
 ``P`` elements, so dispatch dominates the actual work).  This module
 compiles the same loop to native code at first use — plain C built
-with the system compiler and loaded through :mod:`cffi`'s ABI mode, so
-no Python headers are required — and caches the shared library under
-the system temp directory keyed by a hash of the source.
+with the system compiler and loaded through the standard library's
+:mod:`ctypes`, so neither Python headers nor a third-party binding
+package is required — and caches the shared library under the system
+temp directory keyed by a hash of the source.
 
 Bit-identity with the reference engine is preserved by construction:
 
@@ -36,18 +37,24 @@ fan rows across threads via the ``nthreads`` argument.
 The property suite in ``tests/test_mapping_kernel.py`` pins the native
 path against the pure-Python reference with exact ``==`` comparisons.
 
-If :mod:`cffi` or a C compiler is unavailable, or compilation fails
-for any reason, :func:`load` returns ``(None, None)`` and the kernel
+If no C compiler is available, or compilation fails for any reason,
+:func:`load` returns ``None`` and the kernel
 keeps its numpy fast path (a warning is logged so the degradation is
 visible, never fatal).  A corrupted or truncated cached ``.so`` — e.g.
 from a machine crash mid-publish or a cache shared across incompatible
 toolchains — is detected at ``dlopen``/symbol-check time, deleted, and
 rebuilt once before giving up.  Set ``REPRO_NO_CKERNEL=1`` to force
 the fallback; set ``REPRO_CKERNEL_CACHE`` to relocate the build cache.
+
+Every pointer argument is declared as ``void *`` and passed as the raw
+address of a C-contiguous numpy buffer (``arr.ctypes.data``); ctypes
+releases the GIL for the duration of each call, so the OpenMP batch
+path runs unimpeded.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import subprocess
@@ -57,35 +64,31 @@ from pathlib import Path
 
 from ..obs.log import get_logger
 
-__all__ = ["load", "CDEF"]
+__all__ = ["load"]
 
 _log = get_logger("mapping.ckernel")
 
-CDEF = """
-double schedule_makespan(
-    int V, int P,
-    const double *flat_times,
-    const int64_t *alloc,
-    const int32_t *rev_topo,
-    const int32_t *indptr,
-    const int32_t *indices,
-    const int32_t *indeg,
-    double bound,
-    double *times_ws, double *bl_ws, double *data_ready_ws,
-    int32_t *n_waiting_ws, double *free_ws, double *scratch_ws,
-    int32_t *heap_ws);
+_ptr = ctypes.c_void_p
+_int = ctypes.c_int
+_double = ctypes.c_double
 
-void schedule_makespan_batch(
-    int B, int V, int P, int nthreads,
-    const double *flat_times,
-    const int64_t *alloc_rows,
-    const int32_t *rev_topo,
-    const int32_t *indptr,
-    const int32_t *indices,
-    const int32_t *indeg,
-    double bound,
-    double *out);
-"""
+# (restype, argtypes) of the two exported entry points, mirroring their
+# C prototypes below; pointers travel as raw buffer addresses
+_SIGNATURES = {
+    # double schedule_makespan(V, P, flat_times, alloc, rev_topo,
+    #     indptr, indices, indeg, bound, times_ws, bl_ws,
+    #     data_ready_ws, n_waiting_ws, free_ws, scratch_ws, heap_ws)
+    "schedule_makespan": (
+        _double,
+        [_int, _int, *[_ptr] * 6, _double, *[_ptr] * 7],
+    ),
+    # void schedule_makespan_batch(B, V, P, nthreads, flat_times,
+    #     alloc_rows, rev_topo, indptr, indices, indeg, bound, out)
+    "schedule_makespan_batch": (
+        None,
+        [_int, _int, _int, _int, *[_ptr] * 6, _double, _ptr],
+    ),
+}
 
 _C_SOURCE = r"""
 #include <stddef.h>
@@ -657,8 +660,7 @@ void schedule_makespan_batch(
 }
 """
 
-_ffi = None
-_lib = None
+_lib: ctypes.CDLL | None = None
 _tried = False
 
 
@@ -770,42 +772,37 @@ def _describe_failure(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _dlopen_checked(ffi, lib_path: Path):
-    """dlopen the cached build and verify it exports both entry points.
+def _dlopen_checked(lib_path: Path) -> ctypes.CDLL:
+    """dlopen the cached build and declare both entry points.
 
     A truncated or stale cached library fails here — at load time,
-    where the caller can rebuild — rather than mid-optimization.
+    where the caller can rebuild — rather than mid-optimization: a
+    non-ELF file fails ``dlopen`` and a missing symbol fails the
+    attribute lookup.
     """
-    lib = ffi.dlopen(str(lib_path))
-    for symbol in ("schedule_makespan", "schedule_makespan_batch"):
-        getattr(lib, symbol)
+    lib = ctypes.CDLL(str(lib_path))
+    for symbol, (restype, argtypes) in _SIGNATURES.items():
+        func = getattr(lib, symbol)
+        func.restype = restype
+        func.argtypes = argtypes
     return lib
 
 
-def load():
-    """``(ffi, lib)`` for the native scheduler, or ``(None, None)``.
+def load() -> ctypes.CDLL | None:
+    """The native scheduler library, or ``None``.
 
     The first call compiles (or dlopens the cached build); failures of
-    any kind — no cffi, no compiler, sandboxed filesystem, corrupted
-    cache — degrade to ``(None, None)`` with a logged warning so
-    callers keep their pure-Python path.  A cached library that fails
-    to load or lacks the expected symbols is deleted and rebuilt once.
+    any kind — no compiler, sandboxed filesystem, corrupted cache —
+    degrade to ``None`` with a logged warning so callers keep their
+    pure-Python path.  A cached library that fails to load or lacks the
+    expected symbols is deleted and rebuilt once.
     """
-    global _ffi, _lib, _tried
+    global _lib, _tried
     if _tried:
-        return _ffi, _lib
+        return _lib
     _tried = True
     if os.environ.get("REPRO_NO_CKERNEL"):
-        return None, None
-    try:
-        from cffi import FFI
-    except ImportError:
-        _log.debug(
-            "cffi is not installed; using the numpy scheduling path"
-        )
-        return None, None
-    ffi = FFI()
-    ffi.cdef(CDEF)
+        return None
     # Prefer the OpenMP build (threaded batch path); fall back to a
     # plain build when -fopenmp does not compile or its runtime
     # library fails to load on this machine.
@@ -818,7 +815,7 @@ def load():
             failures.append(_describe_failure(exc))
             continue
         try:
-            lib = _dlopen_checked(ffi, lib_path)
+            lib = _dlopen_checked(lib_path)
             break
         except Exception as exc:
             _log.warning(
@@ -834,13 +831,13 @@ def load():
                     # retry the load before deleting, so a *good*
                     # library is never unlinked from under a peer
                     try:
-                        lib = _dlopen_checked(ffi, lib_path)
+                        lib = _dlopen_checked(lib_path)
                     except Exception:
                         Path(lib_path).unlink(missing_ok=True)
                         lib = None
                 if lib is None:
                     lib_path = _build(openmp)
-                    lib = _dlopen_checked(ffi, lib_path)
+                    lib = _dlopen_checked(lib_path)
                 break
             except Exception as exc2:
                 failures.append(_describe_failure(exc2))
@@ -851,6 +848,6 @@ def load():
             "falling back to the numpy path",
             "; ".join(failures) or "no compiler attempt succeeded",
         )
-        return None, None
-    _ffi, _lib = ffi, lib
-    return _ffi, _lib
+        return None
+    _lib = lib
+    return _lib

@@ -27,9 +27,9 @@ For a fixed (PTG, platform, time model) triple all of that structure is
 On top of the numpy fast path, the fitness-only entry points
 (:meth:`ScheduleKernel.makespan` / :meth:`ScheduleKernel.makespan_batch`)
 dispatch to a native scheduling loop compiled at first use from the C
-source in :mod:`repro.mapping._cscheduler` (cffi ABI mode, cached
-shared library).  When no C compiler or cffi is available the kernel
-transparently keeps the numpy path; set ``REPRO_NO_CKERNEL=1`` to
+source in :mod:`repro.mapping._cscheduler` (a cached shared library
+loaded through :mod:`ctypes`).  When no C compiler is available the
+kernel transparently keeps the numpy path; set ``REPRO_NO_CKERNEL=1`` to
 force that fallback.  The schedule-building path (:meth:`run` with
 ``build_schedule=True``) always uses the Python loop — it is the cold
 path and keeps the bookkeeping readable.
@@ -59,6 +59,7 @@ evaluator builds one per worker).
 from __future__ import annotations
 
 import os
+from ctypes import c_void_p
 from heapq import heapify, heappop, heappush
 from math import inf
 from typing import TYPE_CHECKING
@@ -312,22 +313,20 @@ class ScheduleKernel:
     def _attach_c(self) -> None:
         """Bind the native scheduling loop, if it can be built.
 
-        All argument pointers that stay fixed for the kernel's lifetime
-        are cast once here — a native makespan call then only passes
-        precomputed handles.  When :func:`_cscheduler.load` degrades to
-        ``(None, None)`` the kernel simply keeps its numpy fast path.
+        The addresses of all buffers that stay fixed for the kernel's
+        lifetime are wrapped once here — a native makespan call then
+        only passes precomputed handles.  When :func:`_cscheduler.load`
+        degrades to ``None`` the kernel simply keeps its numpy fast
+        path.
         """
-        ffi, lib = _cscheduler.load()
+        lib = _cscheduler.load()
         if lib is None:
             self._c = None
             return
         V = self.num_tasks
 
-        def dptr(arr):
-            return ffi.cast("double *", arr.ctypes.data)
-
-        def iptr(arr):
-            return ffi.cast("const int32_t *", arr.ctypes.data)
+        def ptr(arr):
+            return c_void_p(arr.ctypes.data)
 
         # extra scratch the C loop needs beyond the shared buffers
         self._c_bl = np.empty(V, dtype=np.float64)
@@ -335,24 +334,29 @@ class ScheduleKernel:
         self._c_nw = np.empty(V, dtype=np.int32)
         self._c_heap = np.empty(V, dtype=np.int32)
         self._c = (
-            ffi,
             lib,
-            (
-                ffi.cast("const double *", self._flat_times.ctypes.data),
-                ffi.cast("const int64_t *", self._alloc.ctypes.data),
-                iptr(self._c_rev_topo),
-                iptr(self._c_indptr),
-                iptr(self._c_indices),
-                iptr(self._c_indeg),
+            tuple(
+                ptr(arr)
+                for arr in (
+                    self._flat_times,
+                    self._alloc,
+                    self._c_rev_topo,
+                    self._c_indptr,
+                    self._c_indices,
+                    self._c_indeg,
+                )
             ),
-            (
-                dptr(self._times),
-                dptr(self._c_bl),
-                dptr(self._c_dr),
-                ffi.cast("int32_t *", self._c_nw.ctypes.data),
-                dptr(self._free),
-                dptr(self._scratch),
-                ffi.cast("int32_t *", self._c_heap.ctypes.data),
+            tuple(
+                ptr(arr)
+                for arr in (
+                    self._times,
+                    self._c_bl,
+                    self._c_dr,
+                    self._c_nw,
+                    self._free,
+                    self._scratch,
+                    self._c_heap,
+                )
             ),
         )
 
@@ -760,7 +764,7 @@ class ScheduleKernel:
         if block.shape[0] == 0:
             return []
         if self._c is not None:
-            ffi, lib, const_ptrs, _ws_ptrs = self._c
+            lib, const_ptrs, _ws_ptrs = self._c
             out = np.empty(block.shape[0], dtype=np.float64)
             lib.schedule_makespan_batch(
                 block.shape[0],
@@ -768,10 +772,10 @@ class ScheduleKernel:
                 self.num_processors,
                 batch_threads(),
                 const_ptrs[0],
-                ffi.cast("const int64_t *", block.ctypes.data),
+                block.ctypes.data,
                 *const_ptrs[2:],
-                inf if abort_above is None else abort_above,
-                ffi.cast("double *", out.ctypes.data),
+                inf if abort_above is None else float(abort_above),
+                out.ctypes.data,
             )
             if np.isnan(out).any():
                 # NaN rows mark per-thread workspace allocation
@@ -799,7 +803,7 @@ class ScheduleKernel:
     def _makespan_unbounded(self, alloc: np.ndarray) -> float:
         alloc = self._load_alloc(alloc)
         if self._c is not None:
-            _ffi, lib, const_ptrs, ws_ptrs = self._c
+            lib, const_ptrs, ws_ptrs = self._c
             return lib.schedule_makespan(
                 self.num_tasks,
                 self.num_processors,
@@ -886,12 +890,12 @@ class ScheduleKernel:
     ) -> float:
         alloc = self._load_alloc(alloc)
         if self._c is not None:
-            _ffi, lib, const_ptrs, ws_ptrs = self._c
+            lib, const_ptrs, ws_ptrs = self._c
             return lib.schedule_makespan(
                 self.num_tasks,
                 self.num_processors,
                 *const_ptrs,
-                abort_above,
+                float(abort_above),
                 *ws_ptrs,
             )
         times = self._load_times(alloc)

@@ -32,61 +32,83 @@ disabled (gated by ``benchmarks/check_perf.py``); enable it per run via
 ``--metrics-out`` CLI flags.
 """
 
-from .assemble import (
-    SpanNode,
-    TraceTree,
-    assemble_traces,
-    canonical_tree,
-    render_service_report,
-)
-from .flight import (
-    FlightRecorder,
-    arm_crash_dump,
-    flight_recorder,
-    read_flight_dump,
-    reset_flight_recorder,
-)
-from .instrument import ObservedEvaluator, run_metrics, run_snapshot
-from .log import (
-    JsonFormatter,
-    LOG_LEVELS,
-    configure_logging,
-    get_logger,
-    reset_logging,
-)
-from .metrics import (
-    Counter,
-    DEFAULT_SECONDS_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timer,
-)
-from .profiler import NULL_PROFILER, NullProfiler, PhaseProfiler
-from .report import render_trace_report, summarize_runs
-from .slo import (
-    SLOEngine,
-    SLOSpec,
-    default_service_slos,
-    evaluate_bench,
-)
-from .trace import (
-    EVENT_KINDS,
-    SUPPORTED_TRACE_VERSIONS,
-    TRACE_FORMAT,
-    TRACE_VERSION,
-    TraceContext,
-    TraceEvent,
-    Tracer,
-    canonical_events,
-    current_context,
-    derive_span_id,
-    derive_trace_id,
-    read_trace,
-    read_trace_prefix,
-    strip_timestamps,
-    use_context,
-    validate_event,
+from .._lazy import lazy_surface
+
+# Submodules load on first use (PEP 562): the EMTS hot path needs only
+# the trace, metrics, profiler and logging modules, while trace
+# assembly, SLO evaluation and the report renderer serve the daemon
+# and ``report-trace``.
+__getattr__, __dir__ = lazy_surface(
+    __name__,
+    submodules=(
+        "assemble",
+        "flight",
+        "instrument",
+        "log",
+        "metrics",
+        "profiler",
+        "report",
+        "slo",
+        "trace",
+    ),
+    exports={
+        "assemble": (
+            "SpanNode",
+            "TraceTree",
+            "assemble_traces",
+            "canonical_tree",
+            "render_service_report",
+        ),
+        "flight": (
+            "FlightRecorder",
+            "arm_crash_dump",
+            "flight_recorder",
+            "read_flight_dump",
+            "reset_flight_recorder",
+        ),
+        "instrument": ("ObservedEvaluator", "run_metrics", "run_snapshot"),
+        "log": (
+            "JsonFormatter",
+            "LOG_LEVELS",
+            "configure_logging",
+            "get_logger",
+            "reset_logging",
+        ),
+        "metrics": (
+            "Counter",
+            "DEFAULT_SECONDS_BUCKETS",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "Timer",
+        ),
+        "profiler": ("NULL_PROFILER", "NullProfiler", "PhaseProfiler"),
+        "report": ("render_trace_report", "summarize_runs"),
+        "slo": (
+            "SLOEngine",
+            "SLOSpec",
+            "default_service_slos",
+            "evaluate_bench",
+        ),
+        "trace": (
+            "EVENT_KINDS",
+            "SUPPORTED_TRACE_VERSIONS",
+            "TRACE_FORMAT",
+            "TRACE_VERSION",
+            "TraceContext",
+            "TraceEvent",
+            "Tracer",
+            "canonical_events",
+            "current_context",
+            "derive_span_id",
+            "derive_trace_id",
+            "read_trace",
+            "read_trace_prefix",
+            "strip_timestamps",
+            "use_context",
+            "validate_event",
+        ),
+    },
 )
 
 __all__ = [

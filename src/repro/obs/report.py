@@ -241,7 +241,7 @@ def _render_run(summary: dict[str, Any], index: int, total: int) -> str:
                 f"  {name:<{width}}  {seconds:>9.4f} s  {share}"
             )
         lines.append(
-            f"kernel share of wall time: "
+            f"kernel share of run time: "
             f"{_fmt_opt(summary['kernel_share'], '{:.1%}')} "
             f"({' + '.join(_KERNEL_PHASES)})"
         )

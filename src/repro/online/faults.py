@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._rng import sample_indices
 from ..exceptions import ConfigurationError
-from ..testing.chaos import sample_indices
 
 __all__ = ["ProcessorCrash", "TaskFailure", "Straggler", "FaultPlan"]
 

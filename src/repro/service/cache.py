@@ -25,6 +25,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
+from ..cli import _make_model
 from ..core import MemoizedEvaluator
 from ..graph import ptg_from_dict
 from ..mapping.kernel import kernel_for
@@ -97,9 +98,6 @@ def prepare_problem(
     eval_cache_entries: int = DEFAULT_EVAL_CACHE_ENTRIES,
 ) -> PreparedProblem:
     """Cold path: parse, build the table and warm the kernel binding."""
-    # imported here to avoid a module cycle (cli -> service -> cli)
-    from ..cli import _make_model
-
     t0 = time.perf_counter()
     ptg = ptg_from_dict(request.ptg_doc)
     cluster = by_name(request.platform)

@@ -107,6 +107,21 @@ def _error_response(exc: ServiceError) -> bytes:
     )
 
 
+def _preload_request_path() -> None:
+    """Import and attach, at start-up, what a first request would.
+
+    The package imports lazily, so without this the first requests
+    would pay for the RNG streams, the verifier's ``numpy.unique`` and
+    the native kernel attach (or compile) inside their latency.
+    """
+    import numpy.ma  # noqa: F401 - numpy.unique imports it on first use
+    import numpy.random  # noqa: F401
+
+    from ..mapping import _cscheduler
+
+    _cscheduler.load()
+
+
 class SchedulingService:
     """Wires queue, store, caches, workers and the HTTP front-end."""
 
@@ -414,7 +429,14 @@ class SchedulingService:
         for line in lines[1:]:
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise ServiceError(
+                f"malformed Content-Length header {raw_length!r}",
+                code="bad-request",
+                status=400,
+            )
+        length = int(raw_length)
         if length > _MAX_BODY:
             raise ServiceError(
                 f"request body too large ({length} bytes)",
@@ -557,6 +579,7 @@ class SchedulingService:
 
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
+        _preload_request_path()
         recovered = self.recover_spool()
         flight_record(
             "server", "daemon starting", recovered=recovered

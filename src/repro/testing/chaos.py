@@ -33,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .._rng import sample_indices
 from ..core.evaluator import FitnessEvaluator, ProcessPoolEvaluator
 
 __all__ = [
@@ -55,23 +56,6 @@ class ChaosError(RuntimeError):
     A distinct type so tests can assert that a propagated failure is
     the *injected* one and not collateral damage.
     """
-
-
-def sample_indices(
-    rng: np.random.Generator, n: int, rate: float
-) -> frozenset:
-    """Independently select each index in ``range(n)`` with ``rate``.
-
-    The shared sampling primitive behind :meth:`ChaosPlan.sampled` and
-    :meth:`repro.online.FaultPlan.sampled`: one uniform draw per index,
-    kept when it falls below ``rate``.  A rate of zero consumes *no*
-    randomness, so adding a new fault type to a plan never perturbs the
-    draws of the existing ones.
-    """
-    if rate <= 0.0:
-        return frozenset()
-    draws = rng.random(n)
-    return frozenset(int(i) for i in np.nonzero(draws < rate)[0])
 
 
 def _find_pool(evaluator) -> ProcessPoolEvaluator | None:

@@ -228,6 +228,12 @@ class ChaosProxy:
 
     def close(self) -> None:
         self._closing.set()
+        # closing a listening socket does not wake a thread blocked in
+        # accept() on Linux; shutting it down does (accept fails)
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

@@ -116,7 +116,6 @@ def test_numpy_backend_invariance(island_result, monkeypatch):
 
     monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
     monkeypatch.setattr(_cscheduler, "_tried", True)
-    monkeypatch.setattr(_cscheduler, "_ffi", None)
     monkeypatch.setattr(_cscheduler, "_lib", None)
     fallback = emts5(islands=3).schedule(PTG, CLUSTER, MODEL, rng=SEED)
     _assert_identical(island_result, fallback)

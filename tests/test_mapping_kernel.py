@@ -198,7 +198,6 @@ def test_no_ckernel_env_forces_python_loop(monkeypatch):
 
     monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
     monkeypatch.setattr(_cscheduler, "_tried", False)
-    monkeypatch.setattr(_cscheduler, "_ffi", None)
     monkeypatch.setattr(_cscheduler, "_lib", None)
     case = GRAPH_CASES[0]
     ptg, table = _problem(case, SyntheticModel)
@@ -288,7 +287,7 @@ class TestErrorPaths:
 
 
 class TestNativeCacheRecovery:
-    """The cffi build cache degrades gracefully: corrupt cached
+    """The native build cache degrades gracefully: corrupt cached
     libraries are rebuilt once, build failures fall back to numpy."""
 
     def _reset_loader(self, monkeypatch, cache_dir):
@@ -297,12 +296,10 @@ class TestNativeCacheRecovery:
         monkeypatch.delenv("REPRO_NO_CKERNEL", raising=False)
         monkeypatch.setenv("REPRO_CKERNEL_CACHE", str(cache_dir))
         monkeypatch.setattr(_cscheduler, "_tried", False)
-        monkeypatch.setattr(_cscheduler, "_ffi", None)
         monkeypatch.setattr(_cscheduler, "_lib", None)
         return _cscheduler
 
     def test_corrupt_cached_library_is_rebuilt(self, tmp_path, monkeypatch):
-        pytest.importorskip("cffi")
         _cscheduler = self._reset_loader(monkeypatch, tmp_path)
         # both build variants (with and without OpenMP) have their own
         # cached artifact; corrupt them all so whichever the loader
@@ -314,8 +311,8 @@ class TestNativeCacheRecovery:
         for path in candidates:
             path.write_bytes(garbage)
 
-        ffi, lib = _cscheduler.load()
-        if ffi is None:
+        lib = _cscheduler.load()
+        if lib is None:
             pytest.skip("no C compiler available to rebuild the cache")
         assert lib is not None
         # the loaded variant's garbage file was deleted and replaced
@@ -331,11 +328,10 @@ class TestNativeCacheRecovery:
     ):
         import logging
 
-        pytest.importorskip("cffi")
         _cscheduler = self._reset_loader(monkeypatch, tmp_path)
         monkeypatch.setenv("CC", str(tmp_path / "no-such-compiler"))
         with caplog.at_level(logging.WARNING, "repro.mapping.ckernel"):
-            assert _cscheduler.load() == (None, None)
+            assert _cscheduler.load() is None
         assert any(
             "falling back to the numpy path" in r.message
             for r in caplog.records
@@ -343,7 +339,7 @@ class TestNativeCacheRecovery:
 
 
 class TestCompileCacheLock:
-    """The cffi build cache is file-locked: concurrent workers cannot
+    """The native build cache is file-locked: concurrent workers cannot
     race the delete+rebuild path into loading a half-written library."""
 
     def test_lock_excludes_concurrent_holder(self, tmp_path):
@@ -401,14 +397,13 @@ class TestCompileCacheLock:
         import subprocess
         import sys
 
-        pytest.importorskip("cffi")
         from repro.mapping import _cscheduler
 
-        if _cscheduler.load()[0] is None:
+        if _cscheduler.load() is None:
             pytest.skip("no C compiler available")
         code = (
             "from repro.mapping import _cscheduler\n"
-            "ffi, lib = _cscheduler.load()\n"
+            "lib = _cscheduler.load()\n"
             "assert lib is not None and lib.schedule_makespan is not None\n"
             "print('loaded')\n"
         )

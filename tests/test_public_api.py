@@ -3,6 +3,12 @@ exception hierarchy, and docstring coverage of public items."""
 
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +44,78 @@ class TestExports:
         mod = importlib.import_module(module_name)
         for name in mod.__all__:
             assert hasattr(mod, name), f"{module_name}.{name}"
+
+
+class TestLazyImports:
+    """``import repro.cli`` stays lean: the heavy or unrelated parts of
+    the package load only when a caller touches them.  Membership in
+    ``sys.modules`` is checked, not timing, so the test cannot flake."""
+
+    HEAVY = (
+        "scipy",
+        "cffi",
+        "repro.experiments",
+        "repro.online",
+        "repro.simulator",
+        "repro.service",
+        "repro.testing",
+    )
+
+    def _run(self, code: str) -> dict:
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(code)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_cli_import_skips_heavy_modules(self):
+        out = self._run(
+            f"""
+            import json, sys
+            import repro.cli
+            loaded = [m for m in {self.HEAVY!r} if m in sys.modules]
+            from repro import ScheduleVerifier, execute_online, simulate
+            print(json.dumps({{
+                "loaded": loaded,
+                "resolved": [
+                    execute_online.__module__,
+                    ScheduleVerifier.__module__,
+                    simulate.__module__,
+                ],
+            }}))
+            """
+        )
+        assert out["loaded"] == []
+        assert out["resolved"] == [
+            "repro.online.runtime",
+            "repro.verify.verifier",
+            "repro.simulator.engine",
+        ]
+
+    def test_lazy_subpackage_attribute_and_dir(self):
+        out = self._run(
+            """
+            import json, sys
+            import repro
+            online = repro.online
+            print(json.dumps({
+                "module": online.__name__,
+                "missing": sorted(set(repro.__all__) - set(dir(repro))),
+            }))
+            """
+        )
+        assert out == {"module": "repro.online", "missing": []}
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name  # noqa: B018
 
 
 class TestExceptionHierarchy:

@@ -133,6 +133,50 @@ class TestEndpoints:
         assert status == 404
 
 
+def _raw_exchange(port: int, request: bytes) -> tuple[int, dict]:
+    """Send raw request bytes; return the status and the JSON body."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(request)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, json.loads(body)
+
+
+class TestMalformedContentLength:
+    """A bad ``Content-Length`` gets a typed 400, not a dropped
+    connection."""
+
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_rejected_with_400(self, live_service, value):
+        service, _ = live_service
+        status, doc = _raw_exchange(
+            service.bound_port,
+            (
+                "POST /v1/jobs HTTP/1.1\r\n"
+                "Host: localhost\r\n"
+                f"Content-Length: {value}\r\n"
+                "\r\n"
+            ).encode("latin-1"),
+        )
+        assert status == 400
+        assert doc["error"]["code"] == "bad-request"
+        assert repr(value) in doc["error"]["message"]
+
+    def test_daemon_still_serves_afterwards(self, live_service):
+        service, client = live_service
+        status, _ = _raw_exchange(
+            service.bound_port,
+            b"GET /healthz HTTP/1.1\r\nContent-Length: x1\r\n\r\n",
+        )
+        assert status == 400
+        assert client.healthz() == {"status": "ok"}
+
+
 class TestBackpressureHTTP:
     def test_429_with_retry_after(self, tmp_path):
         import asyncio

@@ -392,7 +392,6 @@ def test_chaos_run_bit_identical_to_fault_free(tmp_path, monkeypatch):
 
     monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
     monkeypatch.setattr(_cscheduler, "_tried", True)
-    monkeypatch.setattr(_cscheduler, "_ffi", None)
     monkeypatch.setattr(_cscheduler, "_lib", None)
 
     baseline = emts5(workers=0).schedule(PTG, CLUSTER, MODEL, rng=7)
