@@ -86,6 +86,13 @@ SPEEDUP_GATES: list[tuple[str, str, float, float]] = [
         2.5,
         2.5,
     ),
+    # native CPA-family seeding vs the Python growth loop
+    (
+        "test_kernel_cpa_allocation_model1",
+        "test_kernel_mcpa_allocation_model1_python",
+        10.0,
+        10.0,
+    ),
 ]
 
 # Pinned speedup gates: (pinned key, kernel, floor).  The ``pinned``

@@ -8,7 +8,8 @@ benchmarks track the kernels so performance regressions are visible:
 * ``bottom_levels`` — computed once per fitness evaluation and once per
   CPA iteration (the measured hot spot, vectorized layer-wise);
 * ``makespan_of`` — one full fitness evaluation;
-* CPA/MCPA allocation — the seed cost;
+* CPA/MCPA allocation — the seed cost (native growth loop, plus MCPA
+  on the Python loop as the denominator of a speedup gate);
 * ``TimeTable.build`` — the per-(PTG, platform) setup cost.
 """
 
@@ -113,6 +114,23 @@ def test_kernel_cpa_allocation_model1(benchmark, problem):
     """Model 1 is the expensive case: allocations keep growing."""
     ptg, cluster, _ = problem
     table = TimeTable.build(AmdahlModel(), ptg, cluster)
+    alloc = benchmark(McpaAllocator().allocate, ptg, table)
+    assert alloc.max() >= 1
+
+
+def test_kernel_mcpa_allocation_model1_python(
+    benchmark, problem, monkeypatch
+):
+    """The same MCPA allocation forced onto the Python growth loop.
+
+    Denominator of the native-seeding speedup gate in ``check_perf.py``:
+    a seeding path that silently falls back to Python fails it.
+    """
+    ptg, cluster, _ = problem
+    table = TimeTable.build(AmdahlModel(), ptg, cluster)
+    monkeypatch.setattr(
+        ScheduleKernel, "has_native", property(lambda self: False)
+    )
     alloc = benchmark(McpaAllocator().allocate, ptg, table)
     assert alloc.max() >= 1
 
@@ -226,3 +244,94 @@ def test_report_kernel_speedup(problem, results_dir):
     write_result("kernel_speedup.txt", "\n".join(lines) + "\n")
     # the tentpole promise: >= 3x single-process speedup
     assert t_native < t_ref / 3
+
+
+def test_report_seeding_speedup(results_dir, monkeypatch):
+    """Record µs per CPA growth step in results/seeding_speedup.txt.
+
+    EMTS seeds every run with the MCPA and HCPA allocations (paper
+    Section III-B).  Each allocator runs on a paper-shaped mix (FFT-16,
+    Strassen, 100-task layered and irregular DAGGEN graphs on Grelon,
+    Models 1 and 2), once on the Python growth loop and once on the
+    native one; both must return the same allocations.  A growth step
+    adds one processor to one task, so a run takes ``sum(alloc) - V``
+    steps.
+    """
+    import os
+    import time
+
+    from repro.allocation import HcpaAllocator, Mcpa2Allocator
+    from repro.mapping import _cscheduler
+    from repro.workloads import generate_fft, generate_strassen
+
+    if _cscheduler.load() is None:
+        pytest.skip("native library unavailable")
+    graphs = [generate_fft(16, rng=BENCH_SEED), generate_strassen(rng=BENCH_SEED)]
+    for jump in (0, 2):
+        graphs.append(
+            generate_daggen(
+                DaggenParams(num_tasks=100, width=0.5, density=0.5, jump=jump),
+                rng=BENCH_SEED,
+            )
+        )
+    tables = [
+        TimeTable.build(model, ptg, grelon())
+        for ptg in graphs
+        for model in (AmdahlModel(), SyntheticModel())
+    ]
+    allocators = {
+        "cpa": CpaAllocator(),
+        "hcpa": HcpaAllocator(),
+        "mcpa": McpaAllocator(),
+        "mcpa2": Mcpa2Allocator(),
+    }
+
+    def timed(allocator):
+        allocs, elapsed = [], 0.0
+        for table in tables:
+            kernel_for(table)  # kernel build is not seeding time
+            t0 = time.perf_counter()
+            allocs.append(allocator.allocate(table.ptg, table))
+            elapsed += time.perf_counter() - t0
+        return allocs, elapsed
+
+    rows = []
+    for name, allocator in allocators.items():
+        native, t_native = timed(allocator)
+        with monkeypatch.context() as m:
+            m.setattr(
+                ScheduleKernel, "has_native", property(lambda self: False)
+            )
+            python, t_python = timed(allocator)
+        for a, b in zip(native, python):
+            assert np.array_equal(a, b)
+        steps = sum(int(a.sum()) - len(a) for a in native)
+        rows.append((name, steps, t_python, t_native))
+
+    lines = [
+        "Native CPA-family growth loop: µs per growth step, Python loop "
+        "vs one C call per allocation",
+        "mix: FFT-16, Strassen, 100-task layered and irregular DAGGEN; "
+        "Grelon (120 procs); Models 1 and 2",
+        f"host cores: {os.cpu_count() or 1}",
+        "",
+        f"{'allocator':<10}{'steps':>8}{'python µs/step':>16}"
+        f"{'native µs/step':>16}{'speedup':>9}",
+    ]
+    for name, steps, t_py, t_c in rows:
+        lines.append(
+            f"{name:<10}{steps:>8}{t_py * 1e6 / steps:>16.2f}"
+            f"{t_c * 1e6 / steps:>16.2f}{t_py / t_c:>8.1f}x"
+        )
+    lines += [
+        "",
+        "note: allocations are bit-identical on both loops (see "
+        "tests/test_allocation_cpa.py::TestNativeParity).  The Python "
+        "loop is the one every allocation ran before the native loop "
+        "existed (now the fallback); MCPA and MCPA2 used to be slower "
+        "still, recomputing level sums and caps at every step.  Times "
+        "include the per-allocation set-up (caps, levels, initial area).",
+    ]
+    write_result("seeding_speedup.txt", "\n".join(lines) + "\n")
+    for name, _, t_py, t_c in rows:
+        assert t_c < t_py / 5, name

@@ -34,14 +34,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..graph import PTG, bottom_levels, top_levels
+from ..graph import PTG, bottom_levels, precedence_levels, top_levels
 from ..timemodels import TimeTable
 from .base import AllocationHeuristic
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
     from ..mapping import ScheduleKernel
 
-__all__ = ["CpaAllocator", "critical_path_mask"]
+__all__ = ["CpaAllocator", "critical_path_mask", "grow_allocations"]
 
 _EPS = 1e-12
 
@@ -51,9 +51,9 @@ def _kernel_if_matching(
 ) -> "ScheduleKernel | None":
     """The table's compiled kernel when it was built for ``ptg``.
 
-    The CPA-family loops accept any (ptg, table) pair; the compiled
-    sweeps only apply when the table's own PTG is being allocated
-    (the overwhelmingly common case).
+    The CPA-family loops accept any (ptg, table) pair; the kernel's
+    native growth loop and level sweeps only apply when the table's own
+    PTG is being allocated (the overwhelmingly common case).
     """
     from ..mapping import kernel_for
 
@@ -74,8 +74,9 @@ def critical_path_mask(
     several parallel branches are equally critical.
 
     ``kernel`` (a :class:`~repro.mapping.ScheduleKernel` built for
-    ``ptg``) computes both level vectors through the compiled CSR
-    sweeps — bit-identical values, several times faster per growth step.
+    ``ptg``) computes both level vectors through its straight-line
+    Python sweeps, generated once per graph — bit-identical values,
+    several times faster than the layered numpy sweeps.
     """
     if kernel is not None:
         bl, tl = kernel.levels(times)
@@ -85,6 +86,71 @@ def critical_path_mask(
     t_cp = float(bl.max())
     on_cp = (tl + bl) >= t_cp * (1.0 - 1e-12) - _EPS
     return on_cp, t_cp
+
+
+def grow_allocations(
+    ptg: PTG,
+    table: TimeTable,
+    caps: np.ndarray,
+    divisor: float,
+    limit: int,
+    levels: np.ndarray | None = None,
+    allow_negative_gain: bool = False,
+) -> np.ndarray:
+    """The CPA growth loop shared by CPA, HCPA, MCPA, MCPA2 and BiCPA.
+
+    Starting from one processor per task, grow critical-path tasks
+    while ``T_CP > area / divisor``, at most ``limit`` steps.  The
+    variants differ only in the data passed here: task ``v`` may grow
+    while ``alloc[v] < caps[v]``, and with ``levels`` (precedence
+    levels, MCPA) only while its level claims fewer than ``P``
+    processors in total.
+
+    When the table's own PTG is allocated and the native library is
+    loaded, the whole loop runs in one C call
+    (:meth:`~repro.mapping.ScheduleKernel.cpa_allocate`); otherwise, and
+    as the oracle the parity tests compare against, the Python loop
+    below runs.  Both give bit-identical allocations.
+    """
+    P = table.num_processors
+    alloc = np.ones(ptg.num_tasks, dtype=np.int64)
+    times = table.times_for(alloc)
+    area = float(times.sum())  # = sum alloc * times at alloc == 1
+    kernel = _kernel_if_matching(ptg, table)
+    if kernel is not None and kernel.has_native:
+        return kernel.cpa_allocate(
+            caps, area, divisor, limit, allow_negative_gain, levels
+        )
+
+    level_sum = None if levels is None else np.bincount(levels)
+    idx = np.arange(ptg.num_tasks)
+    for _ in range(limit):
+        on_cp, t_cp = critical_path_mask(ptg, times, kernel)
+        if t_cp <= area / divisor:
+            break
+        cand = on_cp & (alloc < caps)
+        if level_sum is not None:
+            cand &= level_sum[levels] < P
+        if not cand.any():
+            break
+        # gain of adding one processor, restricted to candidates
+        grown = table.array[idx[cand], alloc[cand]]  # T(v, s+1)
+        gains = times[cand] - grown
+        best_pos = int(np.argmax(gains))
+        best_gain = float(gains[best_pos])
+        if not allow_negative_gain and best_gain <= _EPS:
+            break
+        v = int(idx[cand][best_pos])
+        # update area incrementally: area += (s+1) T(v,s+1) - s T(v,s)
+        s = int(alloc[v])
+        t_old = float(times[v])
+        t_new = float(table.array[v, s])  # column s == p = s+1
+        area += (s + 1) * t_new - s * t_old
+        alloc[v] = s + 1
+        times[v] = t_new
+        if level_sum is not None:
+            level_sum[levels[v]] += 1
+    return alloc
 
 
 class CpaAllocator(AllocationHeuristic):
@@ -102,6 +168,9 @@ class CpaAllocator(AllocationHeuristic):
 
     name = "cpa"
 
+    #: MCPA bounds the total allocation of each precedence level by P
+    level_budget = False
+
     def __init__(
         self,
         allow_negative_gain: bool = False,
@@ -110,58 +179,23 @@ class CpaAllocator(AllocationHeuristic):
         self.allow_negative_gain = bool(allow_negative_gain)
         self.max_iterations = max_iterations
 
-    # hook points for subclasses (MCPA constrains candidates per level)
-    def _candidate_mask(
-        self,
-        ptg: PTG,
-        table: TimeTable,
-        alloc: np.ndarray,
-        on_cp: np.ndarray,
-    ) -> np.ndarray:
-        """Tasks eligible to receive one more processor this step."""
-        return on_cp & (alloc < table.num_processors)
-
-    def _on_grow(self, ptg: PTG, v: int, alloc: np.ndarray) -> None:
-        """Notification hook after task ``v``'s allocation grew."""
+    def _caps(self, ptg: PTG, table: TimeTable) -> np.ndarray:
+        """Per-task allocation ceilings (MCPA2 lowers them)."""
+        return np.full(ptg.num_tasks, table.num_processors, np.int64)
 
     def allocate(self, ptg: PTG, table: TimeTable) -> np.ndarray:
         P = table.num_processors
-        V = ptg.num_tasks
-        alloc = np.ones(V, dtype=np.int64)
-        times = table.times_for(alloc)
-        area = float(times.sum())  # = sum alloc * times at alloc == 1
         limit = (
             self.max_iterations
             if self.max_iterations is not None
-            else V * P
+            else ptg.num_tasks * P
         )
-
-        # compiled CSR level sweeps for the per-step critical-path test
-        # (bit-identical to the layered numpy sweeps)
-        kernel = _kernel_if_matching(ptg, table)
-
-        idx = np.arange(V)
-        for _ in range(limit):
-            on_cp, t_cp = critical_path_mask(ptg, times, kernel)
-            if t_cp <= area / P:
-                break
-            cand = self._candidate_mask(ptg, table, alloc, on_cp)
-            if not cand.any():
-                break
-            # gain of adding one processor, restricted to candidates
-            grown = table.array[idx[cand], alloc[cand]]  # T(v, s+1)
-            gains = times[cand] - grown
-            best_pos = int(np.argmax(gains))
-            best_gain = float(gains[best_pos])
-            if not self.allow_negative_gain and best_gain <= _EPS:
-                break
-            v = int(idx[cand][best_pos])
-            # update area incrementally: area += (s+1) T(v,s+1) - s T(v,s)
-            s = int(alloc[v])
-            t_old = float(times[v])
-            t_new = float(table.array[v, s])  # column s == p = s+1
-            area += (s + 1) * t_new - s * t_old
-            alloc[v] = s + 1
-            times[v] = t_new
-            self._on_grow(ptg, v, alloc)
-        return alloc
+        return grow_allocations(
+            ptg,
+            table,
+            self._caps(ptg, table),
+            divisor=P,
+            limit=limit,
+            levels=precedence_levels(ptg) if self.level_budget else None,
+            allow_negative_gain=self.allow_negative_gain,
+        )

@@ -29,6 +29,8 @@ positive adjustments): with probability ``a`` the allocation shrinks by
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..ea.operators import MutationOperator
@@ -97,15 +99,14 @@ def adjustment_pmf(
     ``P[|C| = j] = erf(j / (sigma sqrt(2))) - erf((j-1) / (sigma sqrt(2)))``,
     scaled by the branch probability.  ``P[C = 0] = 0`` by construction.
     """
-    from scipy.special import erf
-
     k = np.asarray(k, dtype=np.int64)
     out = np.zeros(k.shape, dtype=np.float64)
+    erf = np.frompyfunc(math.erf, 1, 1)
 
     def half_normal_mass(j: np.ndarray, sigma: float) -> np.ndarray:
         lo = (j - 1) / (sigma * np.sqrt(2.0))
         hi = j / (sigma * np.sqrt(2.0))
-        return erf(hi) - erf(lo)
+        return (erf(hi) - erf(lo)).astype(np.float64)
 
     pos = k > 0
     neg = k < 0

@@ -1,13 +1,13 @@
-"""Optional C implementation of the makespan scheduling loop.
+"""Optional C implementation of the scheduling and allocation loops.
 
 The Python/numpy fast path in :mod:`repro.mapping.kernel` spends most
 of its time in per-task numpy call overhead (the arrays hold only
 ``P`` elements, so dispatch dominates the actual work).  This module
-compiles the same loop to native code at first use — plain C built
+compiles the same loops to native code at first use — plain C built
 with the system compiler and loaded through the standard library's
 :mod:`ctypes`, so neither Python headers nor a third-party binding
 package is required — and caches the shared library under the system
-temp directory keyed by a hash of the source.
+temp directory keyed by a hash of the source and the compiler flags.
 
 Bit-identity with the reference engine is preserved by construction:
 
@@ -15,7 +15,8 @@ Bit-identity with the reference engine is preserved by construction:
   ``t_start``/``t_finish`` additions, the ``<= t_start + 1e-12``
   candidate test) maps to the identical IEEE-754 double operation —
   there is no reassociation, fused arithmetic, or extended precision
-  (x86-64 SSE2 doubles, no ``-ffast-math``);
+  (no ``-ffast-math``, and ``-ffp-contract=off`` keeps the compiler
+  from fusing ``a*b - c`` into one FMA on targets that have it);
 * the ready queue pops tasks in the exact (bottom level descending,
   index ascending) order — a strict total order, so any correct heap
   yields the same sequence as :mod:`heapq`;
@@ -23,19 +24,27 @@ Bit-identity with the reference engine is preserved by construction:
   time, which is independent of selection order, and processors are
   committed first-fit by index with the same epsilon window.
 
-Two entry points are exported: ``schedule_makespan`` scores one genome
-per call, and ``schedule_makespan_batch`` scores a whole ``(B, V)``
-allocation matrix in a single call using a slot-multiset scheduler
-(sorted linked list of distinct free times, one processor bitmask per
-slot) that replaces the per-task quickselect with prefix-count walks
-and bit arithmetic — same IEEE-754 operations, same first-fit index
-sets, bit-identical results, several times faster per genome.  The
-batch loop is annotated with OpenMP pragmas; when built with
-``-fopenmp`` (attempted first, plain build as fallback) the caller can
-fan rows across threads via the ``nthreads`` argument.
+Three entry points are exported:
+
+* ``schedule_makespan`` scores one genome per call;
+* ``schedule_makespan_batch`` scores a whole ``(B, V)`` allocation
+  matrix in a single call using a slot-multiset scheduler (sorted
+  linked list of distinct free times, one processor bitmask per slot)
+  that replaces the per-task quickselect with prefix-count walks and
+  bit arithmetic — same IEEE-754 operations, same first-fit index
+  sets, bit-identical results, several times faster per genome.  The
+  batch loop is annotated with OpenMP pragmas; when built with
+  ``-fopenmp`` (attempted first, plain build as fallback) the caller
+  can fan rows across threads via the ``nthreads`` argument;
+* ``cpa_allocate`` runs the whole CPA-family growth loop (the seeding
+  allocations of CPA, HCPA, MCPA, MCPA2 and BiCPA) in one call, with
+  the variants' constraints passed in as data: a per-task cap vector,
+  an optional per-level budget and the divisor of the area balance.
 
 The property suite in ``tests/test_mapping_kernel.py`` pins the native
-path against the pure-Python reference with exact ``==`` comparisons.
+makespan paths against the pure-Python reference, and
+``tests/test_allocation_cpa.py`` pins ``cpa_allocate`` against the
+Python growth loop, both with exact ``==`` comparisons.
 
 If no C compiler is available, or compilation fails for any reason,
 :func:`load` returns ``None`` and the kernel
@@ -72,7 +81,7 @@ _ptr = ctypes.c_void_p
 _int = ctypes.c_int
 _double = ctypes.c_double
 
-# (restype, argtypes) of the two exported entry points, mirroring their
+# (restype, argtypes) of the three exported entry points, mirroring their
 # C prototypes below; pointers travel as raw buffer addresses
 _SIGNATURES = {
     # double schedule_makespan(V, P, flat_times, alloc, rev_topo,
@@ -87,6 +96,16 @@ _SIGNATURES = {
     "schedule_makespan_batch": (
         None,
         [_int, _int, _int, _int, *[_ptr] * 6, _double, _ptr],
+    ),
+    # void cpa_allocate(V, P, flat_times, rev_topo, indptr, indices,
+    #     caps, level_of, level_sum, area, divisor, limit,
+    #     allow_negative_gain, alloc, t_ws, bl_ws, tl_ws)
+    "cpa_allocate": (
+        None,
+        [
+            _int, _int, *[_ptr] * 7, _double, _double,
+            ctypes.c_int64, _int, *[_ptr] * 4,
+        ],
     ),
 }
 
@@ -658,6 +677,109 @@ void schedule_makespan_batch(
         free(marena);
     }
 }
+
+/* ------------------------------------------------------------------
+ * CPA-family allocation growth loop (CPA, HCPA, MCPA, MCPA2, BiCPA).
+ *
+ * Starting from one processor per task, each step recomputes bottom
+ * and top levels, stops once T_CP <= area / divisor, and otherwise
+ * gives one more processor to the critical-path task with the largest
+ * gain T(v, s) - T(v, s+1).  The variants differ only in data:
+ *
+ * - caps[v]: task v may grow while alloc[v] < caps[v] (P for CPA,
+ *   min(P, work share) for MCPA2, the virtual size k for BiCPA);
+ * - level_of/level_sum (MCPA; level_of == NULL disables it): task v
+ *   may grow only while its precedence level claims fewer than P
+ *   processors in total;
+ * - divisor: the machine size in the T_A balance (k for BiCPA).
+ *
+ * Bit-identity with the Python loop in repro.allocation.cpa holds by
+ * construction: the bottom-level recurrence is the one above; top
+ * levels are pushed forward along successor edges in topological
+ * order, and IEEE max is exact, so each equals the max over its
+ * predecessors' tl + t; the critical-path threshold, the stop test,
+ * the first-index argmax (strict >) and the incremental area update
+ * use the same operations in the same order.  The caller passes the
+ * initial area (numpy's pairwise sum of the one-processor times).
+ */
+void cpa_allocate(
+    int V, int P,
+    const double *flat_times,
+    const int32_t *rev_topo,
+    const int32_t *indptr,
+    const int32_t *indices,
+    const int64_t *caps,
+    const int32_t *level_of,
+    int64_t *level_sum,
+    double area, double divisor, int64_t limit,
+    int allow_negative_gain,
+    int64_t *alloc, double *t, double *bl, double *tl)
+{
+    for (int v = 0; v < V; v++) {
+        alloc[v] = 1;
+        t[v] = flat_times[(size_t)v * P];
+    }
+    for (int64_t it = 0; it < limit; it++) {
+        for (int i = 0; i < V; i++) {
+            int32_t v = rev_topo[i];
+            int32_t s = indptr[v], e = indptr[v + 1];
+            if (s == e) {
+                bl[v] = t[v];
+                continue;
+            }
+            double m = bl[indices[s]];
+            for (int32_t j = s + 1; j < e; j++) {
+                double x = bl[indices[j]];
+                if (x > m)
+                    m = x;
+            }
+            bl[v] = t[v] + m;
+        }
+        for (int v = 0; v < V; v++)
+            tl[v] = 0.0;
+        for (int i = V - 1; i >= 0; i--) {
+            int32_t u = rev_topo[i];
+            double x = tl[u] + t[u];
+            for (int32_t j = indptr[u]; j < indptr[u + 1]; j++)
+                if (x > tl[indices[j]])
+                    tl[indices[j]] = x;
+        }
+        double t_cp = bl[0];
+        for (int v = 1; v < V; v++)
+            if (bl[v] > t_cp)
+                t_cp = bl[v];
+        if (t_cp <= area / divisor)
+            break;
+
+        double threshold = t_cp * (1.0 - 1e-12) - EPS;
+        int best = -1;
+        double best_gain = 0.0;
+        for (int v = 0; v < V; v++) {
+            if (!(tl[v] + bl[v] >= threshold) || alloc[v] >= caps[v])
+                continue;
+            if (level_of != NULL && level_sum[level_of[v]] >= P)
+                continue;
+            double gain = t[v] - flat_times[(size_t)v * P + alloc[v]];
+            if (best < 0 || gain > best_gain) {
+                best = v;
+                best_gain = gain;
+            }
+        }
+        if (best < 0)
+            break;
+        if (!allow_negative_gain && best_gain <= EPS)
+            break;
+
+        int64_t s = alloc[best];
+        double t_old = t[best];
+        double t_new = flat_times[(size_t)best * P + s];
+        area += (double)(s + 1) * t_new - (double)s * t_old;
+        alloc[best] = s + 1;
+        t[best] = t_new;
+        if (level_of != NULL)
+            level_sum[level_of[best]]++;
+    }
+}
 """
 
 _lib: ctypes.CDLL | None = None
@@ -673,7 +795,9 @@ def _cache_dir() -> Path:
 
 
 def _flags(openmp: bool) -> list[str]:
-    flags = ["-O2", "-shared", "-fPIC"]
+    # no FMA contraction: a fused a*b - c rounds once, the Python
+    # engines twice (GCC contracts by default where the target has FMA)
+    flags = ["-O2", "-shared", "-fPIC", "-ffp-contract=off"]
     if openmp:
         flags.append("-fopenmp")
     return flags
@@ -773,7 +897,7 @@ def _describe_failure(exc: BaseException) -> str:
 
 
 def _dlopen_checked(lib_path: Path) -> ctypes.CDLL:
-    """dlopen the cached build and declare both entry points.
+    """dlopen the cached build and declare every entry point.
 
     A truncated or stale cached library fails here — at load time,
     where the caller can rebuild — rather than mid-optimization: a

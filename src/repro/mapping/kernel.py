@@ -28,11 +28,13 @@ On top of the numpy fast path, the fitness-only entry points
 (:meth:`ScheduleKernel.makespan` / :meth:`ScheduleKernel.makespan_batch`)
 dispatch to a native scheduling loop compiled at first use from the C
 source in :mod:`repro.mapping._cscheduler` (a cached shared library
-loaded through :mod:`ctypes`).  When no C compiler is available the
-kernel transparently keeps the numpy path; set ``REPRO_NO_CKERNEL=1`` to
-force that fallback.  The schedule-building path (:meth:`run` with
-``build_schedule=True``) always uses the Python loop — it is the cold
-path and keeps the bookkeeping readable.
+loaded through :mod:`ctypes`); :meth:`ScheduleKernel.cpa_allocate`
+runs the CPA-family seeding loop in the same library.  When no C
+compiler is available the kernel transparently keeps the numpy path;
+set ``REPRO_NO_CKERNEL=1`` to force that fallback.  The
+schedule-building path (:meth:`run` with ``build_schedule=True``)
+always uses the Python loop — it is the cold path and keeps the
+bookkeeping readable.
 
 The kernel is **bit-identical** to the reference mapper: the same
 first-fit-by-index tie-breaking, the same epsilon, the same floating
@@ -490,9 +492,11 @@ class ScheduleKernel:
 
         Bit-identical to :func:`repro.graph.bottom_levels` /
         :func:`repro.graph.top_levels` on the kernel's PTG, but computed
-        by the straight-line scalar sweeps — the CPA-family allocation
-        loops call this once per growth step instead of two layered
-        numpy sweeps.
+        by straight-line Python functions generated from the DAG once
+        (:func:`_compile_bl_sweep`, :func:`_compile_tl_sweep`; the
+        interpreted sweeps above the unroll limit).  The Python CPA
+        growth loop, used when the native :meth:`cpa_allocate` is not
+        available, calls this once per growth step.
         """
         t = np.ascontiguousarray(times, dtype=np.float64)
         if t.shape != (self.num_tasks,):
@@ -671,6 +675,67 @@ class ScheduleKernel:
         this so a silently missed C build is visible in every trace.
         """
         return "c" if self._c is not None else "numpy"
+
+    def cpa_allocate(
+        self,
+        caps: np.ndarray,
+        area: float,
+        divisor: float,
+        limit: int,
+        allow_negative_gain: bool = False,
+        levels: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """A CPA-family allocation, grown by the native loop in one call.
+
+        Starting from one processor per task, grow critical-path tasks
+        while ``T_CP > area / divisor``, at most ``limit`` steps.  Task
+        ``v`` may grow while ``alloc[v] < caps[v]``; with ``levels``
+        (precedence levels) only while its level claims fewer than
+        ``P`` processors (MCPA's budget).  ``area`` is the initial work
+        area, the sum of the one-processor times.  Needs the native
+        library (:attr:`has_native`); the Python loop in
+        :mod:`repro.allocation.cpa` is the fallback and the oracle.
+        """
+        lib, const_ptrs, _ws_ptrs = self._c
+        V = self.num_tasks
+        caps = np.ascontiguousarray(caps, dtype=np.int64)
+        level_of = level_sum = None
+        if levels is not None:
+            level_of = np.ascontiguousarray(levels, dtype=np.int32)
+            # bincount rejects negative levels; its length covers the max
+            level_sum = np.bincount(level_of).astype(np.int64)
+        for name, arr in (("caps", caps), ("levels", level_of)):
+            if arr is not None and arr.shape != (V,):
+                raise AllocationError(
+                    f"{name} has shape {arr.shape}, expected ({V},)"
+                )
+        # a cap above P would read past a task's row of the time table
+        if caps.max() > self.num_processors:
+            raise AllocationError(
+                f"caps must not exceed {self.num_processors}"
+            )
+        alloc = np.empty(V, dtype=np.int64)
+        t, bl, tl = np.empty((3, V), dtype=np.float64)
+        lib.cpa_allocate(
+            V,
+            self.num_processors,
+            const_ptrs[0],
+            *const_ptrs[2:5],
+            caps.ctypes.data,
+            None if level_of is None else level_of.ctypes.data,
+            None if level_sum is None else level_sum.ctypes.data,
+            float(area),
+            float(divisor),
+            # every step adds a processor to a task below P, so V * P
+            # bounds the loop; the clamp keeps limit within int64
+            min(int(limit), V * self.num_processors),
+            int(bool(allow_negative_gain)),
+            alloc.ctypes.data,
+            t.ctypes.data,
+            bl.ctypes.data,
+            tl.ctypes.data,
+        )
+        return alloc
 
     def makespan_numpy(
         self, alloc: np.ndarray, abort_above: float | None = None
